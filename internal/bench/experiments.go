@@ -315,7 +315,7 @@ func RuleFireTable(ctx context.Context) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		counts = append(counts, e.RuleStats)
+		counts = append(counts, e.RuleStats())
 	}
 	for _, r := range rewrite.AllRules {
 		t.AddRow(string(r), counts[0][r], counts[1][r], counts[2][r])

@@ -83,7 +83,7 @@ func RewriteTable(ctx context.Context) (*Table, error) {
 			if e.Passes > maxPasses {
 				maxPasses = e.Passes
 			}
-			for _, n := range e.RuleStats {
+			for _, n := range e.RuleStats() {
 				fires += n
 			}
 		}

@@ -292,8 +292,28 @@ func (c *Config) Holes() []Hole {
 	return out
 }
 
-// Concrete reports whether the configuration has no holes.
-func (c *Config) Concrete() bool { return len(c.Holes()) == 0 }
+// Concrete reports whether the configuration has no holes. It stops
+// at the first hole and allocates nothing (Holes builds the list).
+func (c *Config) Concrete() bool {
+	for _, rm := range c.RouteMaps {
+		for _, cl := range rm.Clauses {
+			if cl.ActionHole != "" {
+				return false
+			}
+			for _, m := range cl.Matches {
+				if m.ValueHole != "" {
+					return false
+				}
+			}
+			for _, s := range cl.Sets {
+				if s.ParamHole != "" {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
 
 // Clone deep-copies the configuration, so sketches can be filled or
 // symbolized without disturbing the original.

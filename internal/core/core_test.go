@@ -276,7 +276,7 @@ func TestReductionFactorLarge(t *testing.T) {
 			t.Errorf("%s: reduction factor %.1f too small (%d -> %d)",
 				router, ex.Reduction(), ex.SeedSize, ex.SimplifiedSize)
 		}
-		if ex.Passes < 1 || len(ex.RuleStats) == 0 {
+		if ex.Passes < 1 || len(ex.RuleStats()) == 0 {
 			t.Errorf("%s: rewrite stats not recorded", router)
 		}
 	}

@@ -90,11 +90,12 @@ type Explanation struct {
 	SeedSize        int // seed term nodes
 	SimplifiedSize  int // simplified term nodes
 	ResidualSize    int // nodes over conjuncts mentioning device vars
-	// RuleStats counts rewrite-rule firings; Passes the fixpoint
-	// rounds; SimplifyTrace the term size after each pass.
-	RuleStats     map[rewrite.RuleName]int
+	// Passes counts the fixpoint rounds; SimplifyTrace the term size
+	// after each pass (RuleStats has the rule firings).
 	Passes        int
 	SimplifyTrace []int
+	// simp is the simplification the figures above came from.
+	simp *engine.SimplifyOutcome
 
 	// Verified reports that proof verification was on for this
 	// explanation and every Unsat verdict it rests on carried a proof
@@ -240,13 +241,7 @@ func (e *Explainer) simplify(seed logic.Term) *engine.SimplifyOutcome {
 	if e.Session != nil {
 		return e.Session.Simplify(seed)
 	}
-	simp := rewrite.New()
-	return &engine.SimplifyOutcome{
-		Simplified: simp.Simplify(seed),
-		Passes:     simp.Passes,
-		Trace:      append([]int(nil), simp.Trace...),
-		Stats:      simp.Stats,
-	}
+	return engine.SimplifyThrough(rewrite.NewCache(), seed)
 }
 
 // normalizer builds a simplifier for auxiliary rewriting (lift
@@ -313,10 +308,9 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 		return nil, fmt.Errorf("core: unknown router %q", router)
 	}
 	ex := &Explanation{
-		Router:    router,
-		Targets:   targets,
-		Replaced:  map[string]string{},
-		RuleStats: map[rewrite.RuleName]int{},
+		Router:   router,
+		Targets:  targets,
+		Replaced: map[string]string{},
 	}
 
 	// Step 1: partial symbolization.
@@ -357,9 +351,7 @@ func (e *Explainer) explain(ctx context.Context, router string, targets []Target
 	ex.SimplifiedSize = logic.Size(ex.Simplified)
 	ex.Passes = sout.Passes
 	ex.SimplifyTrace = append([]int(nil), sout.Trace...)
-	for r, n := range sout.Stats {
-		ex.RuleStats[r] = n
-	}
+	ex.simp = sout
 
 	// Residual: the conjuncts that still constrain the device's
 	// variables (the rest is auxiliary routing structure).
@@ -607,4 +599,11 @@ func (ex *Explanation) Reduction() float64 {
 		return float64(ex.SeedSize)
 	}
 	return float64(ex.SeedSize) / float64(ex.SimplifiedSize)
+}
+
+// RuleStats counts the rewrite-rule firings of the simplification
+// (step 3). It is computed on demand from the normal-form cache, so
+// calling it costs a walk of the seed's normalization closure.
+func (ex *Explanation) RuleStats() map[rewrite.RuleName]int {
+	return ex.simp.RuleStats()
 }

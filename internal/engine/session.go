@@ -96,9 +96,9 @@ type Session struct {
 	scopedDead bool
 	scopedOff  bool
 
-	mu sync.Mutex
-	entries  map[string]*entry
-	stats    Stats
+	mu      sync.Mutex
+	entries map[string]*entry
+	stats   Stats
 	liftNS  []int64 // recent per-query lift latencies, nanoseconds
 	liftAll int     // every lift query ever recorded (window may be smaller)
 	liftCap int     // sample-window cap (0 = DefaultLiftSampleCap)
@@ -357,7 +357,31 @@ type SimplifyOutcome struct {
 	Simplified logic.Term
 	Passes     int
 	Trace      []int
-	Stats      map[rewrite.RuleName]int
+
+	// seed and nf locate the normalization for RuleStats.
+	seed logic.Term
+	nf   *rewrite.Cache
+}
+
+// SimplifyThrough normalizes seed with a simplifier over the
+// normal-form cache nf (no per-seed outcome caching; see
+// Session.Simplify for that).
+func SimplifyThrough(nf *rewrite.Cache, seed logic.Term) *SimplifyOutcome {
+	simp := rewrite.NewShared(nf)
+	return &SimplifyOutcome{
+		Simplified: simp.Simplify(seed),
+		Passes:     simp.Passes,
+		Trace:      append([]int(nil), simp.Trace...),
+		seed:       seed,
+		nf:         nf,
+	}
+}
+
+// RuleStats counts the rewrite-rule firings behind the outcome. It
+// walks the seed's normalization closure in the cache, so it is for
+// diagnostics tables; the report path never calls it.
+func (o *SimplifyOutcome) RuleStats() map[rewrite.RuleName]int {
+	return o.nf.RuleFires(o.seed)
 }
 
 type entry struct {
@@ -682,13 +706,7 @@ func (s *Session) Simplify(seed logic.Term) *SimplifyOutcome {
 		s.mu.Unlock()
 		return out
 	}
-	simp := rewrite.NewShared(s.nf)
-	out := &SimplifyOutcome{
-		Simplified: simp.Simplify(seed),
-		Passes:     simp.Passes,
-		Trace:      append([]int(nil), simp.Trace...),
-		Stats:      simp.Stats,
-	}
+	out := SimplifyThrough(s.nf, seed)
 	s.simps.put(seed, out)
 	return out
 }

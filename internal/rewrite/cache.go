@@ -34,12 +34,18 @@ type fireCounts [numRules]uint32
 // node) is reachable through deps, so a deterministic walk of the
 // dependency closure reconstructs a whole seed's rule statistics
 // regardless of how warm the cache was or which goroutine filled it.
-// Entries are immutable once published.
+//
+// maxRounds is the maximum of rounds over that same closure, folded in
+// when the entry is published: every dependency edge points at an
+// entry that was already published (and is never replaced), so the
+// edges form a DAG and max(own rounds, deps' maxRounds) is exactly the
+// closure maximum, with no walk. Entries are immutable once published.
 type nfEntry struct {
-	out    logic.Term
-	fires  fireCounts
-	rounds uint32 // equality-propagation rounds taken at this node
-	deps   []logic.Term
+	out       logic.Term
+	fires     fireCounts
+	rounds    uint32 // equality-propagation rounds taken at this node
+	maxRounds uint32 // max rounds over the dependency closure
+	deps      []logic.Term
 }
 
 // Cache is a persistent normal-form table keyed by canonical term
@@ -73,15 +79,18 @@ func (c *Cache) get(t logic.Term) (*nfEntry, bool) {
 	return e, ok
 }
 
-// put publishes the entry for t. First writer wins; a concurrent
-// duplicate (same term raced by two goroutines) is discarded, keeping
-// the dependency graph stable for readers that already saw the first.
-func (c *Cache) put(t logic.Term, e *nfEntry) {
+// put publishes the entry for t and returns the entry the cache holds.
+// First writer wins; a concurrent duplicate (same term raced by two
+// goroutines) is discarded and the first returned, keeping the
+// dependency graph stable for readers that already saw the first.
+func (c *Cache) put(t logic.Term, e *nfEntry) *nfEntry {
 	c.mu.Lock()
-	if _, dup := c.m[t]; !dup {
-		c.m[t] = e
+	defer c.mu.Unlock()
+	if won, dup := c.m[t]; dup {
+		return won
 	}
-	c.mu.Unlock()
+	c.m[t] = e
+	return e
 }
 
 // Hits returns the number of cache lookups answered from the table.
@@ -98,12 +107,33 @@ func (c *Cache) Len() int {
 	return len(c.m)
 }
 
+// RuleFires returns how many times each rule fired while normalizing
+// t and its dependency closure (rules that never fired are absent).
+// It walks the closure, so it is meant for diagnostics tables, not for
+// the report path; t must have been simplified through this cache.
+func (c *Cache) RuleFires(t logic.Term) map[RuleName]int {
+	fires, _ := c.collectFrom(logic.Intern(t))
+	m := make(map[RuleName]int)
+	addFires(m, fires)
+	return m
+}
+
+// addFires accumulates a fire-count array into a per-rule map.
+func addFires(m map[RuleName]int, fires fireCounts) {
+	for i, n := range fires {
+		if n > 0 {
+			m[AllRules[i]] += int(n)
+		}
+	}
+}
+
 // collectFrom walks the dependency closure of t's entry and returns
 // the aggregate per-rule fire counts and the maximum propagation round
 // count over the closure. Each distinct term is counted once, which is
 // what makes a seed's reported statistics deterministic: they depend
 // only on the set of distinct subterms normalized for it, not on cache
-// warmth or scheduling.
+// warmth or scheduling. The round maximum equals the entry's stored
+// maxRounds; tests check the two against each other.
 func (c *Cache) collectFrom(t logic.Term) (fires fireCounts, maxRounds uint32) {
 	c.mu.RLock()
 	defer c.mu.RUnlock()

@@ -573,9 +573,13 @@ func TestSharedCacheConcurrent(t *testing.T) {
 // TestSharedCacheDeterministicDiagnostics checks that Passes and Stats
 // for a term do not depend on cache warmth: a simplifier that computed
 // everything itself and one answering entirely from a warm shared
-// cache must report identical diagnostics.
+// cache must report identical diagnostics. Passes, read from the
+// maximum stored in the entries, must also equal the maximum found by
+// walking the term's dependency closure — including when several
+// simplifiers fill one cache concurrently and race to publish.
 func TestSharedCacheDeterministicDiagnostics(t *testing.T) {
 	cache := NewCache()
+	deep := 0
 	for seed := int64(0); seed < 50; seed++ {
 		r := rand.New(rand.NewSource(seed))
 		in := randTerm(r, 4)
@@ -592,13 +596,58 @@ func TestSharedCacheDeterministicDiagnostics(t *testing.T) {
 		if cold.Passes != warm.Passes {
 			t.Fatalf("seed %d: Passes differ cold=%d warm=%d", seed, cold.Passes, warm.Passes)
 		}
+		if walked := closurePasses(cache, in); cold.Passes != walked {
+			t.Fatalf("seed %d: stored Passes=%d, closure walk=%d", seed, cold.Passes, walked)
+		}
+		if cold.Passes > 1 {
+			deep++
+		}
 		for _, rule := range AllRules {
-			if cold.Stats[rule] != warm.Stats[rule] {
+			if cold.Stats()[rule] != warm.Stats()[rule] {
 				t.Fatalf("seed %d: %s fires differ cold=%d warm=%d",
-					seed, rule, cold.Stats[rule], warm.Stats[rule])
+					seed, rule, cold.Stats()[rule], warm.Stats()[rule])
 			}
 		}
 	}
+	if deep == 0 {
+		t.Fatal("no input needed a propagation round; the Passes check is vacuous")
+	}
+
+	// Concurrent fill: every worker simplifies the whole corpus (its own
+	// order) through one fresh shared cache.
+	terms := diffBenchTerms()
+	shared := NewCache()
+	const workers = 4
+	passes := make([][]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		passes[w] = make([]int, len(terms))
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			s := NewShared(shared)
+			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(terms)) {
+				s.Simplify(terms[i])
+				passes[w][i] = s.Passes
+			}
+		}(w)
+	}
+	wg.Wait()
+	for i, in := range terms {
+		walked := closurePasses(shared, in)
+		for w := 0; w < workers; w++ {
+			if passes[w][i] != walked {
+				t.Fatalf("term %d: worker %d stored Passes=%d, closure walk=%d", i, w, passes[w][i], walked)
+			}
+		}
+	}
+}
+
+// closurePasses recomputes Passes for t by walking its dependency
+// closure in c.
+func closurePasses(c *Cache, t logic.Term) int {
+	_, rounds := c.collectFrom(logic.Intern(t))
+	return int(rounds) + 1
 }
 
 // TestPrivateCachePerConfig checks that flipping the ablation knobs
@@ -617,8 +666,8 @@ func TestPrivateCachePerConfig(t *testing.T) {
 	if got.String() != "x = 3 & x < 5" {
 		t.Fatalf("ablated config answered from default-config cache: %s", got)
 	}
-	if s.Stats[RuleEqPropagation] != 1 {
-		t.Fatalf("expected exactly the default-config run's S14 fire, got %d", s.Stats[RuleEqPropagation])
+	if s.Stats()[RuleEqPropagation] != 1 {
+		t.Fatalf("expected exactly the default-config run's S14 fire, got %d", s.Stats()[RuleEqPropagation])
 	}
 	// And back: the shared cache still answers the default config.
 	s.DisableEqPropagation = false

@@ -72,7 +72,7 @@ func TestDisableEqPropagation(t *testing.T) {
 	if !strings.Contains(got.String(), "x < 5") {
 		t.Fatalf("S14 disabled but propagation still happened: %s", got)
 	}
-	if s.Stats[RuleEqPropagation] != 0 {
+	if s.Stats()[RuleEqPropagation] != 0 {
 		t.Fatal("S14 fired despite being disabled")
 	}
 }
@@ -138,9 +138,9 @@ func TestSimplifierReuseAccumulatesStats(t *testing.T) {
 	s := New()
 	x := logic.NewBoolVar("x")
 	s.Simplify(logic.Or(x, logic.Not(x)))
-	first := s.Stats[RuleComplement]
+	first := s.Stats()[RuleComplement]
 	s.Simplify(logic.Or(x, logic.Not(x)))
-	if s.Stats[RuleComplement] <= first {
+	if s.Stats()[RuleComplement] <= first {
 		t.Fatal("stats should accumulate across Simplify calls")
 	}
 }

@@ -16,10 +16,11 @@ const DefaultMaxPasses = 64
 // pointer-keyed lookup. This replaces the earlier pass-until-fixpoint
 // driver, which re-walked the whole term every global pass.
 //
-// A Simplifier records per-rule fire counts in Stats; it may be reused
-// across terms (counts accumulate until Reset). Because rewriting is
-// memoized per distinct subterm, fire counts are per distinct subterm
-// normalized for the input's dependency closure, not per occurrence.
+// A Simplifier reports per-rule fire counts through Stats; it may be
+// reused across terms (counts accumulate until Reset). Because
+// rewriting is memoized per distinct subterm, fire counts are per
+// distinct subterm normalized for the input's dependency closure, not
+// per occurrence.
 type Simplifier struct {
 	// MaxPasses bounds the number of equality-propagation rounds run
 	// at any single conjunction (each round substitutes the unit
@@ -29,11 +30,6 @@ type Simplifier struct {
 	// non-terminating rule interaction degrades to a sound non-minimal
 	// result instead of a hang.
 	MaxPasses int
-	// Stats counts how many times each rule fired, accumulated across
-	// Simplify calls. Counts are per distinct subterm in the input's
-	// normalization closure and are reconstructed deterministically
-	// from the cache, so they do not depend on cache warmth.
-	Stats map[RuleName]int
 	// Passes reports 1 + the maximum number of equality-propagation
 	// rounds any conjunction in the last input needed — the depth of
 	// iterative work the old fixpoint driver would have spread over
@@ -57,6 +53,10 @@ type Simplifier struct {
 	priv        *Cache
 	privCfg     simpConfig
 
+	// roots lists every input simplified since the last Reset, with the
+	// cache that holds its normalization, for Stats.
+	roots []root
+
 	// Per-run state: the cache in use, the stack of entries collecting
 	// rule fires and dependency edges (top receives both), and the set
 	// of terms currently being normalized (cycle guard for derived
@@ -75,10 +75,16 @@ type simpConfig struct {
 
 var defaultConfig = simpConfig{maxPasses: DefaultMaxPasses}
 
+// root is one simplified input and the cache its entries live in.
+type root struct {
+	cache *Cache
+	t     logic.Term
+}
+
 // New creates a Simplifier with default settings and a private
 // normal-form cache that persists across its Simplify calls.
 func New() *Simplifier {
-	return &Simplifier{MaxPasses: DefaultMaxPasses, Stats: make(map[RuleName]int)}
+	return &Simplifier{MaxPasses: DefaultMaxPasses}
 }
 
 // NewShared creates a Simplifier whose default-configuration normal
@@ -87,15 +93,30 @@ func New() *Simplifier {
 // NewShared simplifiers may run in parallel over it; each Simplifier
 // itself is single-goroutine state and must not be shared.
 func NewShared(c *Cache) *Simplifier {
-	return &Simplifier{MaxPasses: DefaultMaxPasses, Stats: make(map[RuleName]int), sharedCache: c}
+	return &Simplifier{MaxPasses: DefaultMaxPasses, sharedCache: c}
 }
 
 // Reset clears accumulated statistics (the normal-form caches are
 // kept: they hold facts about terms, not about runs).
 func (s *Simplifier) Reset() {
-	s.Stats = make(map[RuleName]int)
+	s.roots = nil
 	s.Passes = 0
 	s.Trace = nil
+}
+
+// Stats counts how many times each rule fired, accumulated across the
+// Simplify calls since the last Reset (rules that never fired are
+// absent). Counts are per distinct subterm in each input's
+// normalization closure and are reconstructed deterministically from
+// the cache, so they do not depend on cache warmth. Each call walks
+// those closures; the normalization itself never does.
+func (s *Simplifier) Stats() map[RuleName]int {
+	m := make(map[RuleName]int)
+	for _, r := range s.roots {
+		fires, _ := r.cache.collectFrom(r.t)
+		addFires(m, fires)
+	}
+	return m
 }
 
 // Simplify is a convenience wrapper using a fresh Simplifier.
@@ -118,17 +139,13 @@ func (s *Simplifier) Simplify(t logic.Term) logic.Term {
 	}
 	t = logic.Intern(t)
 	s.inflight = make(map[logic.Term]struct{})
-	s.stack = append(s.stack[:0], &nfEntry{}) // root collector; discarded
+	collector := &nfEntry{} // receives t's maxRounds; discarded
+	s.stack = append(s.stack[:0], collector)
 	out := s.norm(t)
 	s.stack, s.inflight = s.stack[:0], nil
 
-	fires, rounds := s.cache.collectFrom(t)
-	for i, n := range fires {
-		if n > 0 {
-			s.Stats[AllRules[i]] += int(n)
-		}
-	}
-	s.Passes = int(rounds) + 1
+	s.roots = append(s.roots, root{cache: s.cache, t: t})
+	s.Passes = int(collector.maxRounds) + 1
 	s.Trace = append(s.Trace[:0], logic.Size(out))
 	return out
 }
@@ -143,11 +160,13 @@ func (s *Simplifier) firedN(r RuleName, n int) {
 	s.stack[len(s.stack)-1].fires[ruleIndex[r]] += uint32(n)
 }
 
-// dep records a dependency edge from the entry being computed to t, so
-// diagnostics collected for an input reach the entries of its
-// subterms and derived terms.
-func (s *Simplifier) dep(t logic.Term) {
+// dep records a dependency edge from the entry being computed to t,
+// whose published entry is e, so diagnostics collected for an input
+// reach the entries of its subterms and derived terms. The edge also
+// folds e's closure maximum of rounds into the entry being computed.
+func (s *Simplifier) dep(t logic.Term, e *nfEntry) {
 	top := s.stack[len(s.stack)-1]
+	top.maxRounds = max(top.maxRounds, e.maxRounds)
 	if n := len(top.deps); n > 0 && top.deps[n-1] == t {
 		return
 	}
@@ -162,7 +181,7 @@ func (s *Simplifier) norm(t logic.Term) logic.Term {
 		return t
 	}
 	if e, ok := s.cache.get(t); ok {
-		s.dep(t)
+		s.dep(t, e)
 		return e.out
 	}
 	if _, busy := s.inflight[t]; busy {
@@ -175,10 +194,10 @@ func (s *Simplifier) norm(t logic.Term) logic.Term {
 	e := &nfEntry{}
 	s.stack = append(s.stack, e)
 	e.out = s.rewriteNode(a)
+	e.maxRounds = max(e.maxRounds, e.rounds)
 	s.stack = s.stack[:len(s.stack)-1]
 	delete(s.inflight, t)
-	s.cache.put(t, e)
-	s.dep(t)
+	s.dep(t, s.cache.put(t, e))
 	return e.out
 }
 

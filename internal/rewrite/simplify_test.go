@@ -202,14 +202,14 @@ func TestStatsAndPasses(t *testing.T) {
 	s := New()
 	a := logic.NewBoolVar("a")
 	s.Simplify(logic.Or(a, logic.Not(a)))
-	if s.Stats[RuleComplement] == 0 {
-		t.Fatalf("complement rule did not fire: %v", s.Stats)
+	if s.Stats()[RuleComplement] == 0 {
+		t.Fatalf("complement rule did not fire: %v", s.Stats())
 	}
 	if s.Passes < 1 {
 		t.Fatal("Passes not recorded")
 	}
 	s.Reset()
-	if len(s.Stats) != 0 || s.Passes != 0 {
+	if len(s.Stats()) != 0 || s.Passes != 0 {
 		t.Fatal("Reset did not clear stats")
 	}
 }

@@ -28,6 +28,10 @@ type Base struct {
 	opts Options
 	// cands[prefix][pathKey] indexes the base candidates.
 	cands map[string]map[string]*candidate
+	// vocab is the deployment's vocabulary and counts the index it was
+	// built from (see vocabCounts).
+	vocab  *vocab
+	counts vocabCounts
 }
 
 // NewBase enumerates the candidate structure of a concrete deployment.
@@ -56,14 +60,23 @@ func newBase(ctx context.Context, net *topology.Network, dep config.Deployment, 
 		}
 	}
 	e := NewEncoder(net, dep, opts).WithBase(prior)
+	var counts vocabCounts
+	if e.base != nil {
+		counts = prior.counts.plus(prior.vocabDelta(dep, e.dirty))
+	} else {
+		counts = countVocab(dep)
+		e.voc = buildVocab(net, counts)
+	}
 	if err := e.enumerateCandidates(ctx); err != nil {
 		return nil, err
 	}
 	b := &Base{
-		net:   net,
-		dep:   dep,
-		opts:  e.opts,
-		cands: make(map[string]map[string]*candidate, len(e.cands)),
+		net:    net,
+		dep:    dep,
+		opts:   e.opts,
+		cands:  make(map[string]map[string]*candidate, len(e.cands)),
+		vocab:  e.vocab(),
+		counts: counts,
 	}
 	for prefix, byNode := range e.cands {
 		m := map[string]*candidate{}
@@ -235,4 +248,79 @@ func candidateSig(c *candidate) uint64 {
 		}
 	}
 	return sig
+}
+
+// vocabCounts counts mentions per vocabulary item (forEachVocabItem);
+// items counted zero are absent. A deployment's vocabulary is the items
+// of its counts (countVocab), so a Base keeps those counts as a
+// reference-counted index: derived encoders and successor bases update
+// it at the dirty routers instead of rescanning every config.
+type vocabCounts map[vocabItem]int
+
+// add adds sign times each of c's mentions (nothing for a nil c).
+func (vc vocabCounts) add(c *config.Config, sign int) {
+	if c == nil {
+		return
+	}
+	forEachVocabItem(c, func(it vocabItem) {
+		if vc[it] += sign; vc[it] == 0 {
+			delete(vc, it)
+		}
+	})
+}
+
+// plus returns vc with delta applied, leaving vc itself unchanged.
+func (vc vocabCounts) plus(delta vocabCounts) vocabCounts {
+	if len(delta) == 0 {
+		return vc
+	}
+	out := make(vocabCounts, len(vc)+len(delta))
+	for it, n := range vc {
+		out[it] = n
+	}
+	for it, d := range delta {
+		if out[it] += d; out[it] == 0 {
+			delete(out, it)
+		}
+	}
+	return out
+}
+
+// countVocab counts the mentions of every config of a deployment, plus
+// one for each defaultVocab item.
+func countVocab(dep config.Deployment) vocabCounts {
+	vc := vocabCounts{}
+	for _, it := range defaultVocab {
+		vc[it] = 1
+	}
+	for _, c := range dep {
+		vc.add(c, 1)
+	}
+	return vc
+}
+
+// vocabDelta is the change in mention counts from b's deployment to
+// dep, which differs from it only at the dirty routers.
+func (b *Base) vocabDelta(dep config.Deployment, dirty map[string]bool) vocabCounts {
+	delta := vocabCounts{}
+	for r := range dirty {
+		delta.add(b.dep[r], -1)
+		delta.add(dep[r], 1)
+	}
+	return delta
+}
+
+// derive returns the vocabulary after the mention counts change from
+// counts to counts+delta: v itself, sorts included, when no item
+// enters or leaves, so the work is proportional to delta; otherwise a
+// copy with rebuilt community and next-hop-IP sorts.
+func (v *vocab) derive(counts, delta vocabCounts) *vocab {
+	for it, d := range delta {
+		if n := counts[it]; (n > 0) != (n+d > 0) {
+			nv := *v
+			nv.setItems(counts.plus(delta))
+			return &nv
+		}
+	}
+	return v
 }

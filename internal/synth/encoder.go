@@ -105,11 +105,21 @@ type Encoding struct {
 	pathsOnce  sync.Once
 	paths      []PathInfo
 	buildPaths func() []PathInfo
+
+	// conj is the Conjunction, built on first call: a cached encoding
+	// answers every repeat query with the same seed term.
+	conjOnce sync.Once
+	conj     logic.Term
 }
 
-// Conjunction returns the constraints as a single term.
+// Conjunction returns the constraints as a single term. The term is
+// built once per encoding; Constraints must not change after the
+// first call.
 func (enc *Encoding) Conjunction() logic.Term {
-	return logic.And(append([]logic.Term(nil), enc.Constraints...)...)
+	enc.conjOnce.Do(func() {
+		enc.conj = logic.And(append([]logic.Term(nil), enc.Constraints...)...)
+	})
+	return enc.conj
 }
 
 // Encoder builds constraint encodings. Create with NewEncoder; one
@@ -118,7 +128,7 @@ type Encoder struct {
 	net    *topology.Network
 	sketch config.Deployment
 	opts   Options
-	vocab  *vocab
+	voc    *vocab // see vocab
 	in     *logic.Interner
 
 	holeVars map[string]*logic.Var
@@ -151,7 +161,6 @@ func NewEncoder(net *topology.Network, sketch config.Deployment, opts Options) *
 		net:      net,
 		sketch:   sketch,
 		opts:     opts.withDefaults(),
-		vocab:    buildVocab(net, sketch),
 		in:       logic.Default(),
 		holeVars: make(map[string]*logic.Var),
 		cands:    make(map[string]map[string][]*candidate),
@@ -199,7 +208,18 @@ func (e *Encoder) WithBase(b *Base) *Encoder {
 	}
 	e.base = b
 	e.dirty = dirty
+	e.voc = b.vocab.derive(b.counts, b.vocabDelta(e.sketch, dirty))
 	return e
+}
+
+// vocab returns the encoder's vocabulary: derived from the base when
+// one is attached (WithBase), otherwise built from the sketch on first
+// use.
+func (e *Encoder) vocab() *vocab {
+	if e.voc == nil {
+		e.voc = buildVocab(e.net, countVocab(e.sketch))
+	}
+	return e.voc
 }
 
 // WithScope attaches a recorded whole-network encoding (see
@@ -324,7 +344,7 @@ func (e *Encoder) declareHolesOf(routers []string) error {
 			for _, cl := range c.RouteMaps[name].Clauses {
 				if cl.ActionHole != "" {
 					if _, err := e.holeVar(cl.ActionHole, func() *logic.Var {
-						return logic.NewEnumVar(cl.ActionHole, e.vocab.actionSort)
+						return logic.NewEnumVar(cl.ActionHole, e.vocab().actionSort)
 					}); err != nil {
 						return err
 					}
@@ -362,11 +382,11 @@ func (e *Encoder) declareHolesOf(routers []string) error {
 func (e *Encoder) matchHoleMaker(m *config.Match) (func() *logic.Var, error) {
 	switch m.Kind {
 	case config.MatchPrefixList:
-		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab.prefixSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab().prefixSort) }, nil
 	case config.MatchCommunity:
-		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab.commSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab().commSort) }, nil
 	case config.MatchNextHopIs:
-		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab.nbrSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(m.ValueHole, e.vocab().nbrSort) }, nil
 	}
 	return nil, fmt.Errorf("synth: unsupported match kind %v", m.Kind)
 }
@@ -376,9 +396,9 @@ func (e *Encoder) setHoleMaker(s *config.Set) (func() *logic.Var, error) {
 	case config.SetLocalPref, config.SetMED:
 		return func() *logic.Var { return logic.NewIntVar(s.ParamHole, 0, LPRankHi) }, nil
 	case config.SetCommunity:
-		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.vocab.commSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.vocab().commSort) }, nil
 	case config.SetNextHopIP:
-		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.vocab.ipSort) }, nil
+		return func() *logic.Var { return logic.NewEnumVar(s.ParamHole, e.vocab().ipSort) }, nil
 	}
 	return nil, fmt.Errorf("synth: unsupported set kind %v", s.Kind)
 }
@@ -510,7 +530,7 @@ func (e *Encoder) encodeSelection() {
 // scoped splice derive their constraint layout from this walk, which is
 // what makes span-copying sound (see ScopedBase).
 func (e *Encoder) forEachSelectionGroup(f func(prefix, node string, cands []*candidate)) {
-	for _, prefix := range e.vocab.prefixes {
+	for _, prefix := range e.vocab().prefixes {
 		byNode := e.cands[prefix]
 		for _, node := range sortedNodes(byNode) {
 			cands := byNode[node]
@@ -596,7 +616,7 @@ func asPathLen(path []string, net *topology.Network) int {
 // whose traffic path contains the pattern.
 func (e *Encoder) encodeForbid(f *spec.Forbid) error {
 	hit := false
-	for _, prefix := range e.vocab.prefixes {
+	for _, prefix := range e.vocab().prefixes {
 		for _, node := range sortedNodes(e.cands[prefix]) {
 			for _, c := range e.cands[prefix][node] {
 				if !matchesTraffic(f.Path, c.path) {

@@ -32,7 +32,49 @@ const (
 	actionDeny   = "deny"
 )
 
-func buildVocab(net *topology.Network, sketch config.Deployment) *vocab {
+// vocabItem is one entry of a configuration's contribution to the
+// deployment-dependent vocabulary: a concrete community tag, or, when
+// ip is set, a concrete next-hop IP.
+type vocabItem struct {
+	comm bgp.Community
+	ip   string
+}
+
+// defaultVocab is always in the vocabulary, so community and next-hop
+// holes have room to choose and these tags never drop out when a
+// router mentioning them is symbolized away: countVocab counts each
+// once on top of the deployment's mentions.
+var defaultVocab = []vocabItem{
+	{comm: bgp.MustCommunity("100:1")}, {comm: bgp.MustCommunity("100:2")},
+	{ip: "10.0.0.1"}, {ip: "10.0.0.2"},
+}
+
+// forEachVocabItem calls visit once per mention of a vocabulary item
+// in c's route maps, in no particular order: the one definition of a
+// configuration's vocabulary contribution.
+func forEachVocabItem(c *config.Config, visit func(vocabItem)) {
+	for _, rm := range c.RouteMaps {
+		for _, cl := range rm.Clauses {
+			for _, m := range cl.Matches {
+				if m.Kind == config.MatchCommunity && m.ValueHole == "" {
+					visit(vocabItem{comm: m.Community})
+				}
+			}
+			for _, s := range cl.Sets {
+				switch {
+				case s.Kind == config.SetCommunity && s.ParamHole == "":
+					visit(vocabItem{comm: s.Community})
+				case s.Kind == config.SetNextHopIP && s.ParamHole == "" && s.NextHopIP != "":
+					visit(vocabItem{ip: s.NextHopIP})
+				}
+			}
+		}
+	}
+}
+
+// buildVocab builds the vocabulary of a deployment over net whose
+// item mentions are counted in counts (see countVocab).
+func buildVocab(net *topology.Network, counts vocabCounts) *vocab {
 	v := &vocab{}
 	v.actionSort = logic.NewEnumSort("RMAction", actionPermit, actionDeny)
 
@@ -47,33 +89,21 @@ func buildVocab(net *topology.Network, sketch config.Deployment) *vocab {
 	}
 	sort.Strings(v.prefixes)
 	v.prefixSort = logic.NewEnumSort("Prefix", v.prefixes...)
+	v.nbrSort = logic.NewEnumSort("Neighbor", net.RouterNames()...)
+	v.setItems(counts)
+	return v
+}
 
-	// The base vocabulary is always available so community holes have
-	// room to choose, and — critically for the explainer — so the
-	// vocabulary does not shrink when a concrete tag is symbolized
-	// away (the encoding must stay comparable across symbolizations).
-	seenC := map[bgp.Community]bool{
-		bgp.MustCommunity("100:1"): true,
-		bgp.MustCommunity("100:2"): true,
-	}
-	for _, c := range sketch {
-		for _, name := range c.RouteMapNames() {
-			for _, cl := range c.RouteMaps[name].Clauses {
-				for _, m := range cl.Matches {
-					if m.Kind == config.MatchCommunity && m.ValueHole == "" {
-						seenC[m.Community] = true
-					}
-				}
-				for _, s := range cl.Sets {
-					if s.Kind == config.SetCommunity && s.ParamHole == "" {
-						seenC[s.Community] = true
-					}
-				}
-			}
+// setItems sets the community and next-hop-IP sorts to the items in
+// counts.
+func (v *vocab) setItems(counts vocabCounts) {
+	v.communities, v.ips = nil, nil
+	for it := range counts {
+		if it.ip == "" {
+			v.communities = append(v.communities, it.comm)
+		} else {
+			v.ips = append(v.ips, it.ip)
 		}
-	}
-	for c := range seenC {
-		v.communities = append(v.communities, c)
 	}
 	sort.Slice(v.communities, func(i, j int) bool {
 		return v.communities[i].String() < v.communities[j].String()
@@ -83,27 +113,8 @@ func buildVocab(net *topology.Network, sketch config.Deployment) *vocab {
 		commNames[i] = "c" + c.String()
 	}
 	v.commSort = logic.NewEnumSort("Community", commNames...)
-
-	v.nbrSort = logic.NewEnumSort("Neighbor", net.RouterNames()...)
-
-	seenIP := map[string]bool{"10.0.0.1": true, "10.0.0.2": true}
-	for _, c := range sketch {
-		for _, name := range c.RouteMapNames() {
-			for _, cl := range c.RouteMaps[name].Clauses {
-				for _, s := range cl.Sets {
-					if s.Kind == config.SetNextHopIP && s.ParamHole == "" && s.NextHopIP != "" {
-						seenIP[s.NextHopIP] = true
-					}
-				}
-			}
-		}
-	}
-	for ip := range seenIP {
-		v.ips = append(v.ips, ip)
-	}
 	sort.Strings(v.ips)
 	v.ipSort = logic.NewEnumSort("NextHopIP", v.ips...)
-	return v
 }
 
 // VocabContribFingerprint hashes one configuration's contribution to
@@ -117,34 +128,21 @@ func buildVocab(net *topology.Network, sketch config.Deployment) *vocab {
 // encoding's sorts are unchanged too. Prefixes and neighbor names come
 // from the topology and need no fingerprinting.
 func VocabContribFingerprint(c *config.Config) uint64 {
-	var items []string
-	for _, name := range c.RouteMapNames() {
-		for _, cl := range c.RouteMaps[name].Clauses {
-			for _, m := range cl.Matches {
-				if m.Kind == config.MatchCommunity && m.ValueHole == "" {
-					items = append(items, "c"+m.Community.String())
-				}
-			}
-			for _, s := range cl.Sets {
-				if s.Kind == config.SetCommunity && s.ParamHole == "" {
-					items = append(items, "c"+s.Community.String())
-				}
-				if s.Kind == config.SetNextHopIP && s.ParamHole == "" && s.NextHopIP != "" {
-					items = append(items, "ip"+s.NextHopIP)
-				}
-			}
+	// The vocabulary is a set, so repeating a tag is not a contribution
+	// change: hash the distinct items in sorted order.
+	counts := vocabCounts{}
+	counts.add(c, 1)
+	items := make([]string, 0, len(counts))
+	for it := range counts {
+		if it.ip != "" {
+			items = append(items, "ip"+it.ip)
+		} else {
+			items = append(items, "c"+it.comm.String())
 		}
 	}
 	sort.Strings(items)
-	// Deduplicate: the vocabulary is a set, so repeating a tag is not a
-	// contribution change.
 	h := uint64(14695981039346656037)
-	prev := ""
 	for _, it := range items {
-		if it == prev {
-			continue
-		}
-		prev = it
 		for i := 0; i < len(it); i++ {
 			h = (h ^ uint64(it[i])) * 1099511628211
 		}
