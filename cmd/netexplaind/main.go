@@ -42,7 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	poolSize := fs.Int("poolsize", 16, "warm session pool entries (LRU-evicted)")
 	timeout := fs.Duration("timeout", 2*time.Minute, "default per-request deadline when the request sets none")
 	maxTimeout := fs.Duration("maxtimeout", 0, "clamp for requested deadlines (0 = same as -timeout)")
-	maxSatWorkers := fs.Int("maxsatworkers", 8, "clamp for per-request sat_workers")
 	maxLiftWorkers := fs.Int("maxliftworkers", 8, "clamp for per-request lift_workers")
 	proof := fs.Bool("proof", false, "verify every Unsat verdict with the independent proof checker")
 	if err := fs.Parse(args); err != nil {
@@ -52,8 +51,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "netexplaind: unexpected arguments: %v\n", fs.Args())
 		return 2
 	}
-	if *maxInflight < 1 || *poolSize < 1 || *maxSatWorkers < 1 || *maxLiftWorkers < 1 {
-		fmt.Fprintln(stderr, "netexplaind: -maxinflight, -poolsize, -maxsatworkers, and -maxliftworkers must be at least 1")
+	if *maxInflight < 1 || *poolSize < 1 || *maxLiftWorkers < 1 {
+		fmt.Fprintln(stderr, "netexplaind: -maxinflight, -poolsize, and -maxliftworkers must be at least 1")
 		return 2
 	}
 	if *timeout <= 0 {
@@ -67,7 +66,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		PoolSize:          *poolSize,
 		DefaultTimeout:    *timeout,
 		MaxTimeout:        *maxTimeout,
-		MaxSatWorkers:     *maxSatWorkers,
 		MaxLiftWorkers:    *maxLiftWorkers,
 		VerifyProofs:      *proof,
 	})

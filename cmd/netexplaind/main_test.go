@@ -20,7 +20,7 @@ func TestRunUsageErrors(t *testing.T) {
 		{"-maxinflight", "0"},
 		{"-poolsize", "-3"},
 		{"-timeout", "-1s"},
-		{"-maxsatworkers", "0"},
+		{"-maxliftworkers", "0"},
 	}
 	for _, args := range cases {
 		var out, errOut strings.Builder

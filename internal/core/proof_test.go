@@ -128,3 +128,50 @@ func TestReportWithProofsIdenticalAcrossWorkerCounts(t *testing.T) {
 		})
 	}
 }
+
+// TestReportIdenticalAcrossSatWorkerMatrix pins the determinism
+// contract of the SAT-side settings: the whole-network report is
+// byte-identical to the committed golden for every lift worker count
+// crossed with proof logging off and on and with the per-solve
+// conflict cap unset and set above anything a solve spends. The
+// matrix once crossed SAT portfolio widths as well; with one solver
+// left, what it guards is that neither proof logging nor an armed
+// (non-binding) conflict budget changes a verdict, and that each lift
+// worker's cloned solvers inherit both settings. Any byte drift here
+// means solver state leaked into a report.
+func TestReportIdenticalAcrossSatWorkerMatrix(t *testing.T) {
+	for _, sc := range scenarios.All() {
+		sc := sc
+		t.Run(sc.Name, func(t *testing.T) {
+			dep := synthScenario(t, sc)
+			want, err := os.ReadFile(filepath.Join("testdata", "report_"+sc.Name+".golden"))
+			if err != nil {
+				t.Fatalf("missing golden (run TestReportMatchesGolden -update): %v", err)
+			}
+			for _, proofs := range []bool{false, true} {
+				for _, maxConflicts := range []int64{0, 1 << 40} {
+					for _, liftWorkers := range []int{1, 2, 8} {
+						opts := DefaultOptions()
+						opts.VerifyProofs = proofs
+						opts.Budget.MaxConflicts = maxConflicts
+						opts.LiftWorkers = liftWorkers
+						e, err := NewExplainer(sc.Net, sc.Requirements(), dep, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						got, err := e.Report()
+						if err != nil {
+							t.Fatalf("proofs=%v maxconflicts=%d liftworkers=%d: %v", proofs, maxConflicts, liftWorkers, err)
+						}
+						if got != string(want) {
+							t.Errorf("proofs=%v maxconflicts=%d liftworkers=%d: report differs from golden", proofs, maxConflicts, liftWorkers)
+						}
+						if checks := e.Stats().ProofChecks; (checks > 0) != proofs {
+							t.Errorf("proofs=%v maxconflicts=%d liftworkers=%d: %d proof checks", proofs, maxConflicts, liftWorkers, checks)
+						}
+					}
+				}
+			}
+		})
+	}
+}

@@ -2,6 +2,7 @@ package sat
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -132,5 +133,54 @@ func TestStatsSub(t *testing.T) {
 	want := Stats{Solves: 6, Decisions: 12, Propagations: 18, Conflicts: 3, Restarts: 1, Learnt: 3, MaxVars: 9, Clauses: 13}
 	if d != want {
 		t.Fatalf("Sub = %+v, want %+v", d, want)
+	}
+}
+
+// TestConcurrentCloneWithProof clones one proof-logging solver from
+// several goroutines at once — the checkout pattern of parallel lift
+// workers — and lets every clone finish an Unsat search whose forked
+// trace must check independently.
+func TestConcurrentCloneWithProof(t *testing.T) {
+	base := NewSolver()
+	tr := NewTrace()
+	if err := base.SetProof(tr); err != nil {
+		t.Fatal(err)
+	}
+	addRandom3SAT(base, 140, 600, 5) // unsat family instance
+	base.ConflictBudget = 40
+	if st := base.Solve(); st != Unknown {
+		t.Fatalf("warmup solve = %v, want Unknown (budgeted)", st)
+	}
+	base.ConflictBudget = 0
+
+	const clones = 4
+	var wg sync.WaitGroup
+	traces := make([]*Trace, clones)
+	for i := 0; i < clones; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			c := base.Clone()
+			if st := c.Solve(); st != Unsat {
+				t.Errorf("clone %d: Solve = %v, want Unsat", i, st)
+				return
+			}
+			ctr, ok := c.Proof().(*Trace)
+			if !ok {
+				t.Errorf("clone %d: proof writer not forked", i)
+				return
+			}
+			traces[i] = ctr
+		}(i)
+	}
+	wg.Wait()
+	for i, ctr := range traces {
+		if ctr == nil {
+			continue // an earlier Errorf already failed the test
+		}
+		c := mustCheckTrace(t, ctr)
+		if !c.RootConflict() {
+			t.Fatalf("clone %d: checked trace has no root conflict", i)
+		}
 	}
 }

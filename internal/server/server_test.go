@@ -120,7 +120,7 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 	// Resource knobs are excluded from the cache key: same problem at a
 	// different worker setting is still a hit (reports are
 	// byte-identical across knobs).
-	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc, SatWorkers: 2, LiftWorkers: 2})
+	w3 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc, LiftWorkers: 2})
 	if hc := w3.Header().Get("X-Cache"); hc != "hit" {
 		t.Fatalf("knob-varied request X-Cache = %q, want hit", hc)
 	}
@@ -144,6 +144,45 @@ func TestServerExplainServesAndCaches(t *testing.T) {
 	}
 	if m.Engine.Encodes == 0 || m.Engine.Solves == 0 {
 		t.Fatalf("engine stats empty after serving: %+v", m.Engine)
+	}
+}
+
+// TestServerIgnoresRemovedRequestField keeps old clients working: a
+// body that still sends the removed SAT worker-count field is decoded
+// as if it did not, served from the same cache entry, and answered
+// with the same bytes.
+func TestServerIgnoresRemovedRequestField(t *testing.T) {
+	topo, configs, spc, _ := problemTexts(t)
+	h := New(Options{}).Handler()
+	w1 := post(t, h, "/explain", request{Topology: topo, Configs: configs, Spec: spc})
+	if w1.Code != http.StatusOK {
+		t.Fatalf("status = %d, body: %s", w1.Code, w1.Body.String())
+	}
+	body, err := json.Marshal(request{Topology: topo, Configs: configs, Spec: spc})
+	if err != nil {
+		t.Fatal(err)
+	}
+	body = append([]byte(`{"sat_workers": 4, `), body[1:]...)
+	w2 := httptest.NewRecorder()
+	h.ServeHTTP(w2, httptest.NewRequest(http.MethodPost, "/explain", bytes.NewReader(body)))
+	if w2.Code != http.StatusOK {
+		t.Fatalf("removed-field request: status = %d, body: %s", w2.Code, w2.Body.String())
+	}
+	if hc := w2.Header().Get("X-Cache"); hc != "hit" {
+		t.Fatalf("removed-field request X-Cache = %q, want hit", hc)
+	}
+	if !bytes.Equal(w1.Body.Bytes(), w2.Body.Bytes()) {
+		t.Fatal("removed-field request body differs from the plain request's")
+	}
+}
+
+// TestBudgetForClampsDefaultLiftWorkers: a request that sets no
+// lift_workers gets GOMAXPROCS workers, still clamped to the server's
+// maximum.
+func TestBudgetForClampsDefaultLiftWorkers(t *testing.T) {
+	s := New(Options{MaxLiftWorkers: 1})
+	if _, lift, _ := s.budgetFor(&request{}); lift != 1 {
+		t.Fatalf("lift workers = %d, want 1", lift)
 	}
 }
 

@@ -44,15 +44,20 @@ type ProofReport struct {
 
 // ProofEnabled reports whether the solver records a proof trace.
 func (s *Solver) ProofEnabled() bool {
-	_, _, ok := s.activeProofWorker()
+	_, ok := s.trace()
 	return ok
 }
 
-// ProofOps converts the recorded trace — the race winner's, in
-// portfolio mode — into checker operations (1-based DIMACS literals).
-// It returns nil when proof logging is off.
+// trace returns the SAT solver's proof trace, if logging is on.
+func (s *Solver) trace() (*sat.Trace, bool) {
+	tr, ok := s.sat.Proof().(*sat.Trace)
+	return tr, ok
+}
+
+// ProofOps converts the recorded trace into checker operations
+// (1-based DIMACS literals). It returns nil when proof logging is off.
 func (s *Solver) ProofOps() []drat.Op {
-	_, tr, ok := s.activeProofWorker()
+	tr, ok := s.trace()
 	if !ok {
 		return nil
 	}
@@ -107,7 +112,7 @@ func (s *Solver) VerifyLastUnsat() (ProofReport, error) {
 // shrunk core clause (DIMACS literals) for CheckedCore.
 func (s *Solver) verifyLastUnsat() (ProofReport, []int, error) {
 	var rep ProofReport
-	w, tr, ok := s.activeProofWorker()
+	tr, ok := s.trace()
 	if !ok {
 		return rep, nil, fmt.Errorf("smt: proof logging is off (construct the solver with WithProof)")
 	}
@@ -115,26 +120,16 @@ func (s *Solver) verifyLastUnsat() (ProofReport, []int, error) {
 		return rep, nil, fmt.Errorf("smt: last solve was %v, nothing to verify", s.lastStatus)
 	}
 	start := time.Now()
-	// One incremental checker per worker: in portfolio mode any worker
-	// can win a verdict, and each worker's trace is its own independent
-	// derivation (shared imports are re-logged by the importer), so a
-	// cursor into one trace says nothing about another.
-	if s.chks == nil {
-		s.chks = make(map[int]*drat.Checker)
-		s.chkCursors = make(map[int]int)
+	if s.chk == nil {
+		s.chk = drat.NewChecker()
 	}
-	chk := s.chks[w]
-	if chk == nil {
-		chk = drat.NewChecker()
-		s.chks[w] = chk
-		s.chkCursors[w] = 0
-	}
-	for cur := s.chkCursors[w]; cur < tr.Len(); cur++ {
+	chk := s.chk
+	for cur := s.chkCursor; cur < tr.Len(); cur++ {
 		op := opFromTrace(tr.Op(cur))
 		if err := chk.Apply(op); err != nil {
 			return rep, nil, fmt.Errorf("smt: proof rejected at op %d: %w", cur, err)
 		}
-		s.chkCursors[w] = cur + 1
+		s.chkCursor = cur + 1
 		rep.Ops++
 		if op.Kind == drat.Learn {
 			rep.Lemmas++
@@ -142,7 +137,7 @@ func (s *Solver) verifyLastUnsat() (ProofReport, []int, error) {
 	}
 	rep.TraceLen = tr.Len()
 
-	core := s.satCore()
+	core := s.sat.Core()
 	var shrunk []int
 	if len(core) == 0 {
 		// Unconditional Unsat: the checker must have derived the empty
